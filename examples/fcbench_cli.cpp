@@ -15,6 +15,8 @@
 //   fcbench_cli trace      [--out=FILE] [--series=N] [--rows=N]
 //                          [--sample=N] [--seed=N]
 //
+// `fcbench_cli <command> --help` prints that command's usage and exits 0.
+//
 // The method can be given positionally or as --method=<name>; the auto
 // selectors (auto, auto-speed, auto-ratio) pick a concrete method per
 // chunk from the data, and --explain prints each chunk's features,
@@ -30,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/compressor.h"
@@ -49,6 +52,44 @@
 using namespace fcbench;
 
 namespace {
+
+/// A command's usage text (see kCommands below).
+const char* UsageOf(std::string_view command);
+
+/// Reports a command's wrong arguments: its usage on stderr, exit 2.
+int BadUsage(const char* command) {
+  std::fputs(UsageOf(command), stderr);
+  return 2;
+}
+
+/// How long an append may wait out admission backpressure before the
+/// command gives up.
+constexpr std::chrono::seconds kAppendDeadline{30};
+
+Status AppendWithDeadline(db::shard::ShardedIngestEngine& eng,
+                          uint64_t series, const std::vector<double>& batch) {
+  return eng.AppendBatchUntil(
+      series, batch, std::chrono::steady_clock::now() + kAppendDeadline);
+}
+
+/// Best-effort removal of a throwaway sharded store (one level of shard
+/// subdirectories).
+void RemoveStore(const std::string& dir) {
+  if (auto names = fs::ListDir(dir); names.ok()) {
+    for (const auto& n : names.value()) {
+      const std::string sub = fs::JoinPath(dir, n);
+      if (auto inner = fs::ListDir(sub); inner.ok()) {
+        for (const auto& f : inner.value()) {
+          (void)fs::RemoveFile(fs::JoinPath(sub, f));
+        }
+        ::rmdir(sub.c_str());
+      } else {
+        (void)fs::RemoveFile(sub);
+      }
+    }
+  }
+  ::rmdir(dir.c_str());
+}
 
 Result<Buffer> ReadFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -131,7 +172,7 @@ Result<DataDesc> ParseDesc(int argc, char** argv, size_t raw_bytes) {
   return desc;
 }
 
-int CmdList() {
+int CmdList(int, char**) {
   std::printf("%-18s %-6s %-10s %-12s %s\n", "name", "year", "arch",
               "predictor", "domain");
   for (const auto& name : CompressorRegistry::Global().Names()) {
@@ -150,14 +191,7 @@ int CmdCompress(int argc, char** argv) {
   auto pos = Positionals(argc, argv);
   size_t next = 1;
   if (method.empty() && pos.size() > next) method = pos[next++];
-  if (method.empty() || pos.size() < next + 2) {
-    std::fprintf(stderr,
-                 "usage: fcbench_cli compress <method> <in> <out> "
-                 "--dtype=f32|f64 [--dims=AxB] [--precision=N]\n"
-                 "       fcbench_cli compress --method=auto [--explain] "
-                 "<in> <out> --dtype=f32|f64\n");
-    return 2;
-  }
+  if (method.empty() || pos.size() < next + 2) return BadUsage("compress");
   const std::string in_path = pos[next];
   const std::string out_path = pos[next + 1];
   auto raw = ReadFile(in_path);
@@ -205,10 +239,7 @@ int CmdCompress(int argc, char** argv) {
 }
 
 int CmdDecompress(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr, "usage: fcbench_cli decompress <in.fcz> <out>\n");
-    return 2;
-  }
+  if (argc < 4) return BadUsage("decompress");
   auto file = ReadFile(argv[2]);
   if (!file.ok()) {
     std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
@@ -239,11 +270,7 @@ int CmdBench(int argc, char** argv) {
   auto pos = Positionals(argc, argv);
   size_t next = 1;
   if (method.empty() && pos.size() > next) method = pos[next++];
-  if (method.empty() || pos.size() < next + 1) {
-    std::fprintf(stderr, "usage: fcbench_cli bench <method> <in> "
-                         "--dtype=f32|f64 [--repeats=N]\n");
-    return 2;
-  }
+  if (method.empty() || pos.size() < next + 1) return BadUsage("bench");
   auto raw = ReadFile(pos[next]);
   if (!raw.ok()) {
     std::fprintf(stderr, "%s\n", raw.status().ToString().c_str());
@@ -288,11 +315,7 @@ int CmdBench(int argc, char** argv) {
 }
 
 int CmdGen(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: fcbench_cli gen <dataset> <out> [--bytes=N]\n");
-    return 2;
-  }
+  if (argc < 4) return BadUsage("gen");
   const data::DatasetInfo* info = data::FindDataset(argv[2]);
   if (info == nullptr) {
     std::fprintf(stderr, "unknown dataset '%s'; available:\n", argv[2]);
@@ -342,6 +365,31 @@ int PrintStats(const std::string& format) {
   return 0;
 }
 
+/// Fills a one-shard store at `dir` with a few batches, then flushes and
+/// scrubs it, so the registry holds live append/flush/selection metrics.
+Status ExerciseStore(const std::string& dir) {
+  db::shard::ShardOptions opt;
+  opt.num_shards = 1;
+  opt.engine.background_flush = false;
+  FCB_ASSIGN_OR_RETURN(
+      auto eng,
+      db::shard::ShardedIngestEngine::Open(
+          dir,
+          {{.name = "ts", .dtype = DType::kFloat64, .compressor = ""},
+           {.name = "value", .dtype = DType::kFloat64, .compressor = ""}},
+          opt));
+  std::vector<double> batch(256 * 2);
+  for (int b = 0; b < 8; ++b) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch[i] = static_cast<double>(b * 1000 + i);
+    }
+    FCB_RETURN_IF_ERROR(AppendWithDeadline(*eng, 0, batch));
+  }
+  FCB_RETURN_IF_ERROR(eng->Flush());
+  (void)eng->Scrub();
+  return eng->Close();
+}
+
 int CmdStats(int argc, char** argv) {
   // --exercise runs a small throwaway ingest+flush+selection workload
   // first, so the snapshot demonstrates the live metric catalog instead
@@ -349,30 +397,11 @@ int CmdStats(int argc, char** argv) {
   if (HasFlag(argc, argv, "exercise")) {
     const std::string dir =
         "/tmp/fcbench_stats_exercise_" + std::to_string(::getpid());
-    db::lsm::EngineOptions opt;
-    opt.background_flush = false;
-    auto eng = db::lsm::IngestEngine::Open(
-        dir, {{.name = "ts", .dtype = DType::kFloat64, .compressor = ""},
-              {.name = "value", .dtype = DType::kFloat64, .compressor = ""}},
-        opt);
-    if (eng.ok()) {
-      std::vector<double> batch(256 * 2);
-      for (int b = 0; b < 8; ++b) {
-        for (size_t i = 0; i < batch.size(); ++i) {
-          batch[i] = static_cast<double>(b * 1000 + i);
-        }
-        (void)eng.value()->AppendBatch(batch);
-      }
-      (void)eng.value()->Flush();
-      (void)eng.value()->Scrub();
-      eng.value().reset();
-      auto names = fs::ListDir(dir);
-      if (names.ok()) {
-        for (const auto& n : names.value()) {
-          (void)fs::RemoveFile(fs::JoinPath(dir, n));
-        }
-      }
-      ::rmdir(dir.c_str());
+    const Status st = ExerciseStore(dir);
+    RemoveStore(dir);
+    if (!st.ok()) {
+      std::fprintf(stderr, "stats --exercise: %s\n", st.ToString().c_str());
+      return 1;
     }
   }
   const int rc = PrintStats(FlagValue(argc, argv, "format", "text"));
@@ -386,17 +415,7 @@ int CmdStats(int argc, char** argv) {
 
 int CmdIngest(int argc, char** argv) {
   auto pos = Positionals(argc, argv);
-  if (pos.size() < 2) {
-    std::fprintf(stderr,
-                 "usage: fcbench_cli ingest <dir> [--shards=N] [--series=N] "
-                 "[--rows=N] [--quota-bytes=N] [--fsync] [--scrub] "
-                 "[--stats-every=N]\n"
-                 "Appends --rows rows to each of --series series, hash-routed "
-                 "across the store's shards,\nthen prints the per-shard "
-                 "health/budget report. Reopening an existing store adopts "
-                 "its\npinned shard count; pass --shards only to create.\n");
-    return 2;
-  }
+  if (pos.size() < 2) return BadUsage("ingest");
   const std::string dir = pos[1];
   db::shard::ShardOptions opt;
   // 0 adopts the shard count pinned in <dir>/SHARDS; a new store needs
@@ -440,10 +459,7 @@ int CmdIngest(int argc, char** argv) {
       batch[i * 2 + 0] = static_cast<double>(i);
       batch[i * 2 + 1] = static_cast<double>(s) * 1000.0 + i;
     }
-    // Deadline-blocking append: ride out transient admission pressure
-    // instead of failing fast, but bail out after 30 s.
-    Status st = eng.AppendBatchUntil(
-        s, batch, std::chrono::steady_clock::now() + std::chrono::seconds(30));
+    Status st = AppendWithDeadline(eng, s, batch);
     if (!st.ok()) {
       std::fprintf(stderr, "append series %llu: %s\n",
                    static_cast<unsigned long long>(s), st.ToString().c_str());
@@ -552,7 +568,7 @@ int CmdTrace(int argc, char** argv) {
         batch[i * 2 + 0] = static_cast<double>(i);
         batch[i * 2 + 1] = static_cast<double>(s) * 1000.0 + i;
       }
-      Status st = eng.AppendBatch(s, batch);
+      Status st = AppendWithDeadline(eng, s, batch);
       if (!st.ok()) {
         std::fprintf(stderr, "append: %s\n", st.ToString().c_str());
         return 1;
@@ -568,21 +584,7 @@ int CmdTrace(int argc, char** argv) {
       return 1;
     }
   }
-  // Best-effort cleanup of the throwaway store (shard subdirectories).
-  if (auto names = fs::ListDir(dir); names.ok()) {
-    for (const auto& n : names.value()) {
-      const std::string sub = fs::JoinPath(dir, n);
-      if (auto inner = fs::ListDir(sub); inner.ok()) {
-        for (const auto& f : inner.value()) {
-          (void)fs::RemoveFile(fs::JoinPath(sub, f));
-        }
-        ::rmdir(sub.c_str());
-      } else {
-        (void)fs::RemoveFile(sub);
-      }
-    }
-  }
-  ::rmdir(dir.c_str());
+  RemoveStore(dir);
 
   auto& coll = obs::TraceCollector::Global();
   const std::string json = coll.ToChromeJson();
@@ -606,25 +608,83 @@ int CmdTrace(int argc, char** argv) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  /// Printed to stdout by `<command> --help` and to stderr when the
+  /// command's arguments are wrong.
+  const char* usage;
+  int (*run)(int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"list",
+     "usage: fcbench_cli list\n"
+     "Lists the registered compressors.\n",
+     CmdList},
+    {"compress",
+     "usage: fcbench_cli compress <method> <in> <out> "
+     "--dtype=f32|f64 [--dims=AxB] [--precision=N]\n"
+     "       fcbench_cli compress --method=auto [--explain] "
+     "<in> <out> --dtype=f32|f64\n",
+     CmdCompress},
+    {"decompress", "usage: fcbench_cli decompress <in.fcz> <out>\n",
+     CmdDecompress},
+    {"bench",
+     "usage: fcbench_cli bench <method> <in> "
+     "--dtype=f32|f64 [--repeats=N]\n",
+     CmdBench},
+    {"gen", "usage: fcbench_cli gen <dataset> <out> [--bytes=N]\n",
+     CmdGen},
+    {"ingest",
+     "usage: fcbench_cli ingest <dir> [--shards=N] [--series=N] "
+     "[--rows=N] [--quota-bytes=N] [--fsync] [--scrub] "
+     "[--stats-every=N] [--trace-out=FILE]\n"
+     "Appends --rows rows to each of --series series, hash-routed "
+     "across the store's shards,\nthen prints the per-shard "
+     "health/budget report. Reopening an existing store adopts "
+     "its\npinned shard count; pass --shards only to create.\n",
+     CmdIngest},
+    {"stats",
+     "usage: fcbench_cli stats [--format=text|json|prom] [--trace] "
+     "[--exercise]\n"
+     "Prints the metrics registry; --exercise first runs a small "
+     "throwaway ingest+flush+scrub\nso the snapshot shows live "
+     "metrics, --trace appends the last lifecycle events.\n",
+     CmdStats},
+    {"trace",
+     "usage: fcbench_cli trace [--out=FILE] [--series=N] [--rows=N] "
+     "[--sample=N] [--seed=N]\n"
+     "Runs a small ingest+flush+scrub workload with span sampling on "
+     "and prints (or\nwrites to --out) the Chrome trace JSON.\n",
+     CmdTrace},
+};
+
+const char* UsageOf(std::string_view command) {
+  for (const Command& c : kCommands) {
+    if (command == c.name) return c.usage;
+  }
+  return "";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "fcbench_cli — FCBench compressor toolbox\n"
-                 "commands: list | compress | decompress | bench | gen | "
-                 "ingest | stats | trace\n");
-    return 2;
+  const std::string cmd = argc < 2 ? "" : argv[1];
+  if (cmd.empty() || cmd == "--help" || cmd == "-h") {
+    std::FILE* out = cmd.empty() ? stderr : stdout;
+    std::fputs("fcbench_cli — FCBench compressor toolbox\ncommands:", out);
+    for (const Command& c : kCommands) std::fprintf(out, " %s", c.name);
+    std::fputs("\n`fcbench_cli <command> --help` prints its usage\n", out);
+    return cmd.empty() ? 2 : 0;
   }
-  std::string cmd = argv[1];
-  if (cmd == "list") return CmdList();
-  if (cmd == "stats") return CmdStats(argc, argv);
-  if (cmd == "compress") return CmdCompress(argc, argv);
-  if (cmd == "decompress") return CmdDecompress(argc, argv);
-  if (cmd == "bench") return CmdBench(argc, argv);
-  if (cmd == "gen") return CmdGen(argc, argv);
-  if (cmd == "ingest") return CmdIngest(argc, argv);
-  if (cmd == "trace") return CmdTrace(argc, argv);
+  for (const Command& c : kCommands) {
+    if (cmd != c.name) continue;
+    if (HasFlag(argc, argv, "help")) {
+      std::fputs(c.usage, stdout);
+      return 0;
+    }
+    return c.run(argc, argv);
+  }
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return 2;
 }

@@ -21,9 +21,11 @@
 #                               # (WAL ingest/recovery), micro_shard_ingest
 #                               # (sharded multi-tenant scaling; + a reduced
 #                               # micro_codecs pass when built) and write
-#                               # BENCH_*.json artifacts;
-#                               # no thresholds are enforced — the JSON
-#                               # records the perf trajectory only
+#                               # BENCH_*.json artifacts. One gate is
+#                               # enforced: the lane fails when the
+#                               # micro_ingest trace-overhead row exceeds
+#                               # its 2% budget; every other figure only
+#                               # records the perf trajectory
 #
 # Environment:
 #   BUILD_DIR   build directory (default: build)

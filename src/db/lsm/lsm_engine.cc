@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "db/column_store.h"
 #include "obs/event_trace.h"
@@ -467,10 +466,7 @@ Status IngestEngine::ApplyWalRecord(const WalRecord& rec, bool* stop) {
     *stop = true;
     return Status::OK();
   }
-  if (nrows == 0) return Status::OK();
-  std::vector<double> rows(nrows * ncols);
-  std::memcpy(rows.data(), in.data() + off, nrows * row_bytes);
-  mem_->AppendRows(rows.data(), nrows);
+  mem_->AppendRows(in.data() + off, nrows);
   return Status::OK();
 }
 
@@ -508,7 +504,8 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
   FCB_RETURN_IF_ERROR(wal_->Commit());
   {
     obs::ScopedSpan mem_span("lsm.memtable", nrows);
-    mem_->AppendRows(rows_row_major.data(), nrows);
+    mem_->AppendRows(
+        reinterpret_cast<const uint8_t*>(rows_row_major.data()), nrows);
   }
 
   if (mem_->bytes() >= opt_.memtable_bytes) {

@@ -20,16 +20,22 @@ class MemTable {
  public:
   explicit MemTable(size_t num_columns);
 
-  /// Appends `nrows` rows stored row-major at `rows` (nrows * columns
-  /// doubles).
-  void AppendRows(const double* rows, size_t nrows);
+  /// Appends `nrows` rows stored row-major at `rows`: nrows * columns f64
+  /// values in native byte order, which need not be aligned (they are
+  /// read with memcpy, so a WAL record payload scatters in place). Live
+  /// appends and WAL replay both fill the memtable through here. Each
+  /// column grows geometrically, so a call costs time proportional to
+  /// `nrows`, not to the rows already buffered.
+  void AppendRows(const uint8_t* rows, size_t nrows);
 
   size_t num_columns() const { return cols_.size(); }
   size_t rows() const { return rows_; }
   bool empty() const { return rows_ == 0; }
 
-  /// Approximate heap footprint, compared against the engine's
-  /// memtable watermark.
+  /// Logical size (rows x columns x 8), compared against the engine's
+  /// memtable watermark and charged to the shard memory budget. The heap
+  /// capacity behind it may be up to 2x this figure, because columns
+  /// grow by doubling.
   size_t bytes() const { return rows_ * cols_.size() * sizeof(double); }
 
   const std::vector<double>& column(size_t i) const { return cols_[i]; }

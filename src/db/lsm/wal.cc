@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "obs/event_trace.h"
 #include "obs/metrics.h"
@@ -75,15 +76,18 @@ Status Wal::Append(uint8_t type, ByteSpan payload) {
   if (payload.size() > kMaxRecordBytes) {
     return Status::InvalidArgument("wal: record payload too large");
   }
-  // Serialize into the pending batch: hash | len | type | payload, where
-  // the hash covers everything after itself so a torn or bit-flipped
-  // record can never verify.
-  Buffer body;
-  PutFixed(&body, static_cast<uint32_t>(payload.size()));
-  body.PushBack(type);
-  body.Append(payload);
-  PutFixed(&pending_, XxHash64(body.span()));
-  pending_.Append(body.span());
+  // Frame the record in place at the end of the pending batch:
+  // hash | len | type | payload, where the hash covers everything after
+  // itself so a torn or bit-flipped record can never verify. The hash
+  // slot is written last, once the bytes it covers are in place.
+  const size_t slot = pending_.size();
+  PutFixed(&pending_, uint64_t{0});
+  PutFixed(&pending_, static_cast<uint32_t>(payload.size()));
+  pending_.PushBack(type);
+  pending_.Append(payload);
+  const uint64_t hash =
+      XxHash64(pending_.span().subspan(slot + sizeof(uint64_t)));
+  std::memcpy(pending_.data() + slot, &hash, sizeof(hash));
   return Status::OK();
 }
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/seqlock.h"
 #include "obs/span.h"
 
 namespace fcbench::obs {
@@ -71,12 +72,11 @@ std::string TraceEvent::ToString() const {
 }
 
 /// All fields atomic so concurrent write/read of a wrapping slot is a
-/// defined (and TSan-clean) race, resolved by the begin/end stamps: a
-/// reader only trusts a slot whose begin == end == the expected ticket
-/// both before and after copying the payload.
+/// defined (and TSan-clean) race, resolved by the seqlock stamps: a
+/// reader only trusts a slot whose stamps equal the expected ticket both
+/// before and after copying the payload.
 struct EventTrace::Slot {
-  std::atomic<uint64_t> begin{0};
-  std::atomic<uint64_t> end{0};
+  SeqlockStamps stamps;
   std::atomic<uint64_t> nanos{0};
   std::atomic<uint64_t> a{0};
   std::atomic<uint64_t> b{0};
@@ -101,8 +101,7 @@ void EventTrace::Record(EventKind kind, std::string_view detail, uint64_t a,
   const uint64_t nanos = NowNanos();
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& s = slots_[ticket & (capacity_ - 1)];
-  // begin != end marks the slot as in-flux until the final store.
-  s.begin.store(ticket, std::memory_order_release);
+  if (!s.stamps.BeginWrite(ticket)) return;  // lapped by a newer event
   s.nanos.store(nanos, std::memory_order_relaxed);
   s.a.store(a, std::memory_order_relaxed);
   s.b.store(b, std::memory_order_relaxed);
@@ -116,7 +115,7 @@ void EventTrace::Record(EventKind kind, std::string_view detail, uint64_t a,
   for (size_t w = 0; w < kDetailWords; ++w) {
     s.detail[w].store(words[w], std::memory_order_relaxed);
   }
-  s.end.store(ticket, std::memory_order_release);
+  s.stamps.EndWrite(ticket);
 }
 
 std::vector<TraceEvent> EventTrace::Snapshot() const {
@@ -127,7 +126,7 @@ std::vector<TraceEvent> EventTrace::Snapshot() const {
   out.reserve(head >= first ? static_cast<size_t>(head - first + 1) : 0);
   for (uint64_t t = first; t <= head; ++t) {
     const Slot& s = slots_[t & (capacity_ - 1)];
-    if (s.end.load(std::memory_order_acquire) != t) continue;
+    if (!s.stamps.ReadBegin(t)) continue;
     TraceEvent e;
     e.seq = t;
     e.nanos = s.nanos.load(std::memory_order_relaxed);
@@ -141,9 +140,9 @@ std::vector<TraceEvent> EventTrace::Snapshot() const {
     }
     std::memcpy(e.detail, words, kDetailBytes);
     e.detail[kDetailBytes - 1] = '\0';
-    // Re-validate: a writer lapping the ring while we copied would have
-    // bumped begin first.
-    if (s.begin.load(std::memory_order_acquire) != t) continue;
+    // Re-validate: a writer lapping the ring while we copied claimed the
+    // slot first.
+    if (!s.stamps.ReadValidate(t)) continue;
     out.push_back(e);
   }
   return out;

@@ -11,6 +11,7 @@
 
 #include "obs/event_trace.h"
 #include "obs/metrics.h"
+#include "obs/seqlock.h"
 
 namespace fcbench::obs {
 
@@ -353,8 +354,7 @@ void ScopedSpan::SetTag(const char* tag) {
 struct TraceCollector::Slot {
   static constexpr size_t kNameWords = sizeof(SpanRecord{}.name) / 8;
   static constexpr size_t kTagWords = sizeof(SpanRecord{}.tag) / 8;
-  std::atomic<uint64_t> begin{0};
-  std::atomic<uint64_t> end{0};
+  SeqlockStamps stamps;
   std::atomic<uint64_t> trace{0};
   std::atomic<uint64_t> span{0};
   std::atomic<uint64_t> parent{0};
@@ -391,7 +391,7 @@ void TraceCollector::PublishBatch(const SpanRecord* recs, size_t n) {
     const uint64_t ticket = base + i + 1;
     const SpanRecord& r = recs[i];
     Slot& s = slots_[ticket & (capacity_ - 1)];
-    s.begin.store(ticket, std::memory_order_release);
+    if (!s.stamps.BeginWrite(ticket)) continue;  // lapped by a newer span
     s.trace.store(r.trace_id, std::memory_order_relaxed);
     s.span.store(r.span_id, std::memory_order_relaxed);
     s.parent.store(r.parent_id, std::memory_order_relaxed);
@@ -410,7 +410,7 @@ void TraceCollector::PublishBatch(const SpanRecord* recs, size_t n) {
     for (size_t w = 0; w < Slot::kTagWords; ++w) {
       s.tag[w].store(tag_words[w], std::memory_order_relaxed);
     }
-    s.end.store(ticket, std::memory_order_release);
+    s.stamps.EndWrite(ticket);
   }
 }
 
@@ -421,7 +421,7 @@ std::vector<SpanRecord> TraceCollector::Snapshot() const {
   out.reserve(head >= first ? static_cast<size_t>(head - first + 1) : 0);
   for (uint64_t t = first; t <= head; ++t) {
     const Slot& s = slots_[t & (capacity_ - 1)];
-    if (s.end.load(std::memory_order_acquire) != t) continue;
+    if (!s.stamps.ReadBegin(t)) continue;
     SpanRecord r;
     r.trace_id = s.trace.load(std::memory_order_relaxed);
     r.span_id = s.span.load(std::memory_order_relaxed);
@@ -443,7 +443,7 @@ std::vector<SpanRecord> TraceCollector::Snapshot() const {
     }
     std::memcpy(r.tag, tag_words, sizeof(r.tag));
     r.tag[sizeof(r.tag) - 1] = '\0';
-    if (s.begin.load(std::memory_order_acquire) != t) continue;
+    if (!s.stamps.ReadValidate(t)) continue;
     out.push_back(r);
   }
   return out;

@@ -101,8 +101,8 @@ class Buffer {
 
   /// Builds a Buffer from arbitrary bytes.
   static Buffer FromBytes(const void* src, size_t n) {
-    Buffer b(n);
-    std::memcpy(b.data(), src, n);
+    Buffer b;
+    b.Append(src, n);  // Append skips the null-pointer memcpy when n == 0
     return b;
   }
 

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "data/dataset.h"
 #include "db/dataframe.h"
@@ -19,16 +21,18 @@ std::string TempPath(const std::string& tag) {
   return std::string(::testing::TempDir()) + "/fcbench_" + tag + ".fcbf";
 }
 
+// The method is a std::string, not a const char*: gtest prints a char
+// pointer parameter as its address, which would put an ASLR-random number
+// into every discovered test name.
 class PagedFileRoundTrip : public ::testing::TestWithParam<
-                               std::tuple<const char*, size_t>> {};
+                               std::tuple<std::string, size_t>> {};
 
 TEST_P(PagedFileRoundTrip, WriteReadIdentity) {
   auto [method, page_size] = GetParam();
   auto ds = data::GenerateDataset(*data::FindDataset("nyc-taxi"), 1 << 20);
   ASSERT_TRUE(ds.ok());
 
-  std::string path = TempPath(std::string(method) + "_" +
-                              std::to_string(page_size));
+  std::string path = TempPath(method + "_" + std::to_string(page_size));
   PagedFile::Options opt;
   opt.page_size = page_size;
   opt.compressor = method;
@@ -51,13 +55,13 @@ TEST_P(PagedFileRoundTrip, WriteReadIdentity) {
 INSTANTIATE_TEST_SUITE_P(
     MethodsAndPages, PagedFileRoundTrip,
     ::testing::Combine(
-        ::testing::Values("none", "bitshuffle_lz4", "bitshuffle_zstd",
-                          "chimp128", "gorilla", "spdp", "mpc",
-                          "nv_bitcomp"),
+        ::testing::ValuesIn(std::vector<std::string>{
+            "none", "bitshuffle_lz4", "bitshuffle_zstd", "chimp128",
+            "gorilla", "spdp", "mpc", "nv_bitcomp"}),
         ::testing::Values(size_t(4) << 10, size_t(64) << 10,
                           size_t(8) << 20)),
     [](const auto& param_info) {
-      return std::string(std::get<0>(param_info.param)) + "_" +
+      return std::get<0>(param_info.param) + "_" +
              std::to_string(std::get<1>(param_info.param) >> 10) + "K";
     });
 

@@ -1,5 +1,5 @@
 // Tests for the crash-safe LSM ingest engine (src/db/lsm/): WAL framing
-// and torn-tail recovery, the kill-at-any-byte crash-consistency sweeps
+// and torn-tail recovery, memtable growth and scatter, the kill-at-any-byte crash-consistency sweeps
 // (truncate/flip every byte of the WAL; every half-published segment
 // state), recovery idempotence, background flush, and tiered compaction.
 
@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "db/column_store.h"
 #include "db/lsm/lsm_engine.h"
+#include "db/lsm/memtable.h"
 #include "db/lsm/wal.h"
 #include "util/fs.h"
 
@@ -44,6 +46,57 @@ void CopyTree(const std::string& src, const std::string& dst) {
                                     bytes.value().span(),
                                     /*durable=*/false)
                     .ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MemTable
+// ---------------------------------------------------------------------------
+
+// Filling a memtable batch by batch must cost time linear in its size.
+// Instead of a wall-clock bound, count reallocations: with geometric
+// growth each column moves O(log rows) times, while an exact-fit reserve
+// moves it on every batch. The rows come from a byte buffer offset by one
+// byte, so every f64 read is unaligned (sanitizer builds check that the
+// scatter reads them legally).
+TEST(MemTableTest, GrowthIsGeometricAndScatterIsExact) {
+  constexpr size_t kCols = 8, kRows = 512, kBatches = 4096;
+  constexpr size_t kRowBytes = kCols * sizeof(double);
+  MemTable mem(kCols);
+  std::vector<uint8_t> bytes(1 + kRows * kRowBytes);
+  uint8_t* rows = bytes.data() + 1;
+  std::vector<const double*> data(kCols, nullptr);
+  std::vector<size_t> capacity(kCols, 0), changes(kCols, 0);
+  for (size_t b = 0; b < kBatches; ++b) {
+    for (size_t r = 0; r < kRows; ++r) {
+      for (size_t c = 0; c < kCols; ++c) {
+        const double v = static_cast<double>((b * kRows + r) * kCols + c);
+        std::memcpy(rows + r * kRowBytes + c * sizeof(double), &v, sizeof(v));
+      }
+    }
+    mem.AppendRows(rows, kRows);
+    for (size_t c = 0; c < kCols; ++c) {
+      const std::vector<double>& col = mem.column(c);
+      if (col.data() != data[c] || col.capacity() != capacity[c]) {
+        ++changes[c];
+        data[c] = col.data();
+        capacity[c] = col.capacity();
+      }
+    }
+  }
+  const size_t total = kRows * kBatches;
+  ASSERT_EQ(mem.rows(), total);
+  EXPECT_EQ(mem.bytes(), total * kRowBytes);  // logical, not capacity
+  size_t log2_rows = 0;
+  while ((size_t{1} << log2_rows) < total) ++log2_rows;
+  for (size_t c = 0; c < kCols; ++c) {
+    EXPECT_LE(changes[c], log2_rows + 2) << "column " << c;
+    const std::vector<double>& col = mem.column(c);
+    ASSERT_EQ(col.size(), total);
+    for (size_t i = 0; i < total; ++i) {
+      ASSERT_EQ(col[i], static_cast<double>(i * kCols + c))
+          << "column " << c << " row " << i;
+    }
   }
 }
 
@@ -360,6 +413,24 @@ TEST_F(LsmEngineTest, MemtableRecoversFromWalAfterCrash) {
   ASSERT_TRUE(AppendRows(*eng.value(), 100, 150, 9).ok());
   ASSERT_TRUE(eng.value()->Flush().ok());
   ExpectColumnsEqualPrefix(*eng.value(), 150);
+}
+
+// Replay scatters each record straight from the WAL payload; ten thousand
+// one-row records must rebuild exactly the memtable the live appends built.
+TEST_F(LsmEngineTest, ReplayOfManyOneRowRecordsReadsBackExactly) {
+  EngineOptions opt = FastOptions();
+  opt.sync_on_commit = false;
+  {
+    auto eng = IngestEngine::Open(dir_, Schema(), opt);
+    ASSERT_TRUE(eng.ok());
+    ASSERT_TRUE(AppendRows(*eng.value(), 0, 10000, 1).ok());
+    ASSERT_TRUE(eng.value()->segments().empty());
+  }
+  auto eng = IngestEngine::Open(dir_, Schema(), opt);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  EXPECT_EQ(eng.value()->rows(), 10000u);
+  EXPECT_TRUE(eng.value()->segments().empty());
+  ExpectColumnsEqualPrefix(*eng.value(), 10000);
 }
 
 TEST_F(LsmEngineTest, FlushSurvivesCrashAndDoesNotReplayFlushedRows) {

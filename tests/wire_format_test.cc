@@ -8,18 +8,27 @@
 // (tests/wire_format_fixtures.h), so wire-format drift fails CI loudly
 // instead of silently breaking every previously written stream.
 //
+// The same holds for the write-ahead log: WalSegment* pin the exact bytes
+// of a segment, so a change to how Wal::Append frames records cannot
+// silently orphan logs written by older builds.
+//
 // The input generators deliberately avoid libm (sin/log/...) — only Rng
 // integer output and IEEE add/mul — so the corpus, and therefore the
 // compressed bytes, are identical on every platform.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "compressors/chimp.h"
 #include "compressors/gorilla.h"
 #include "compressors/gorilla_timestamps.h"
+#include "db/lsm/wal.h"
+#include "util/fs.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "wire_format_fixtures.h"
@@ -162,6 +171,107 @@ TEST(WireFormatTest, FixtureStreamsDecodeToOriginalValues) {
       ts.size());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), ts);
+}
+
+// ---------------------------------------------------------------------------
+// WAL segment framing
+// ---------------------------------------------------------------------------
+
+using db::lsm::Wal;
+using db::lsm::WalReader;
+
+constexpr uint64_t kWalFixtureSeq = 7;
+
+/// The three record payloads of the frozen segment (see fixtures header).
+std::vector<Buffer> WalFixturePayloads() {
+  std::vector<Buffer> p(3);
+  p[1].PushBack(0xA5);
+  p[2].Resize(32 << 10);
+  for (size_t i = 0; i < p[2].size(); ++i) {
+    p[2].data()[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  return p;
+}
+
+/// The frozen segment: the fixture prefix followed by the 32 KiB payload.
+Buffer FrozenWalSegment() {
+  Buffer seg = Buffer::FromBytes(wire_fixtures::kWalSegmentPrefix,
+                                 sizeof(wire_fixtures::kWalSegmentPrefix));
+  seg.Append(WalFixturePayloads()[2].span());
+  return seg;
+}
+
+class WalSegmentTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = "/tmp/fcbench_wire_" + std::to_string(::getpid()) + "_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    ASSERT_TRUE(fs::CreateDir(dir_).ok());
+  }
+  void TearDown() override {
+    fs::RemoveFile(SegmentPath());
+    ::rmdir(dir_.c_str());
+  }
+  std::string SegmentPath() const {
+    return fs::JoinPath(dir_, Wal::SegmentFileName(kWalFixtureSeq));
+  }
+
+  /// Writes the fixture records through Wal and returns the segment bytes:
+  /// one Commit for all three records, or one Commit per record.
+  Buffer WriteSegment(bool group_commit) {
+    Wal::Options opt;
+    opt.sync_on_commit = false;
+    auto wal = Wal::Open(dir_, kWalFixtureSeq, opt);
+    EXPECT_TRUE(wal.ok());
+    for (const Buffer& p : WalFixturePayloads()) {
+      EXPECT_TRUE(wal.value()->Append(Wal::kTypeRows, p.span()).ok());
+      if (!group_commit) {
+        EXPECT_TRUE(wal.value()->Commit().ok());
+      }
+    }
+    EXPECT_TRUE(wal.value()->Close().ok());
+    auto raw = fs::ReadFile(SegmentPath());
+    EXPECT_TRUE(raw.ok());
+    return raw.ok() ? std::move(raw.value()) : Buffer();
+  }
+
+  std::string dir_;
+};
+
+TEST_F(WalSegmentTest, FixtureIsSelfConsistent) {
+  const Buffer seg = FrozenWalSegment();
+  EXPECT_EQ(seg.size(), wire_fixtures::kWalSegmentSize);
+  EXPECT_EQ(XxHash64(seg.span()), wire_fixtures::kWalSegmentHash);
+}
+
+TEST_F(WalSegmentTest, GroupCommitBytesIdentical) {
+  const Buffer want = FrozenWalSegment();
+  ExpectBytesEqual(WriteSegment(/*group_commit=*/true), want.data(),
+                   want.size(), "wal group commit");
+}
+
+TEST_F(WalSegmentTest, SeparateCommitsBytesIdentical) {
+  const Buffer want = FrozenWalSegment();
+  ExpectBytesEqual(WriteSegment(/*group_commit=*/false), want.data(),
+                   want.size(), "wal separate commits");
+}
+
+// A segment written by an older build must replay to the same records.
+TEST_F(WalSegmentTest, FrozenSegmentReplays) {
+  const Buffer seg = FrozenWalSegment();
+  ASSERT_TRUE(
+      fs::WriteFileAtomic(SegmentPath(), seg.span(), /*durable=*/false).ok());
+  auto replay = WalReader::ReplayDir(dir_, 0);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_FALSE(replay.value().truncated);
+  const std::vector<Buffer> want = WalFixturePayloads();
+  ASSERT_EQ(replay.value().records.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(replay.value().records[i].segment_seq, kWalFixtureSeq);
+    EXPECT_EQ(replay.value().records[i].type, Wal::kTypeRows);
+    EXPECT_EQ(replay.value().records[i].payload.ToVector(),
+              want[i].ToVector());
+  }
 }
 
 }  // namespace
