@@ -2,18 +2,98 @@
 // the simulated in-memory database: compressed pages on disk -> file I/O
 // -> per-page decompression -> columnar dataframe -> 10 full-table-scan
 // queries driven by a histogram of the first column (paper §6.2.2,
-// footnote 14).
+// footnote 14). A second table measures chunk-granular pushdown: the
+// latency and bytes read of 1-row and 1000-row ColumnStore::ReadRows
+// against column size, which should stay flat as the column grows.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
+#include "db/column_store.h"
 #include "db/dataframe.h"
 #include "db/paged_file.h"
+#include "util/fs.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace fcbench::bench {
 namespace {
+
+/// One column of the first database dataset at 1, 4 and 16 MiB, stored
+/// with 64 KiB pages; per size, the p50 latency and mean bytes read of
+/// random 1-row and 1000-row ReadRows.
+void PushdownTable(const std::string& tmpdir) {
+  constexpr int kQueries = 200;
+  const std::string method = "bitshuffle_zstd";
+  const auto datasets = DatasetsOfDomain(data::Domain::kDatabase);
+  if (datasets.empty()) return;
+  const data::DatasetInfo& info = datasets.front();
+  std::printf("\nReadRows pushdown: one %s column of %s, 64 KiB pages, "
+              "%d random reads per cell\n",
+              method.c_str(), info.name.c_str(), kQueries);
+  TablePrinter t({"column", "file_kb", "1row_us", "1row_kb", "1000row_us",
+                  "1000row_kb"},
+                 11, 8);
+  for (uint64_t mib : {1, 4, 16}) {
+    auto ds = data::GenerateDataset(info, mib << 20);
+    if (!ds.ok()) continue;
+    const DataDesc& desc = ds.value().desc;
+    const size_t rows = ds.value().num_elements();
+    db::ColumnStore::ColumnSpec spec{.name = "c", .compressor = method,
+                                     .dtype = desc.dtype};
+    spec.values.resize(rows);
+    const uint8_t* src = ds.value().bytes.data();
+    for (size_t r = 0; r < rows; ++r) {
+      if (desc.dtype == DType::kFloat32) {
+        spec.values[r] = reinterpret_cast<const float*>(src)[r];
+      } else {
+        spec.values[r] = reinterpret_cast<const double*>(src)[r];
+      }
+    }
+    const std::string prefix =
+        tmpdir + "/fcbench_t11_pushdown_" + std::to_string(mib);
+    if (!db::ColumnStore::Write(prefix, {spec}).ok()) continue;
+    auto file_bytes = fs::FileSize(prefix + ".0.col");
+
+    std::vector<std::string> row = {std::to_string(mib) + " MiB",
+                                    TablePrinter::Fmt(
+                                        file_bytes.ok()
+                                            ? file_bytes.value() / 1024.0
+                                            : 0,
+                                        1)};
+    Rng rng(mib);
+    for (uint64_t n : {uint64_t{1}, uint64_t{1000}}) {
+      std::vector<double> lat_us;
+      uint64_t bytes_read = 0;
+      for (int q = 0; q < kQueries && rows >= n; ++q) {
+        const uint64_t begin = rng.UniformInt(rows - n + 1);
+        db::ColumnStore::ReadStats stats;
+        Timer timer;
+        auto got = db::ColumnStore::ReadRows(prefix, "c", begin, n, &stats);
+        if (!got.ok()) break;
+        lat_us.push_back(timer.ElapsedSeconds() * 1e6);
+        bytes_read += stats.bytes_on_disk;
+      }
+      if (lat_us.empty()) {
+        row.insert(row.end(), {"-", "-"});
+        continue;
+      }
+      std::nth_element(lat_us.begin(), lat_us.begin() + lat_us.size() / 2,
+                       lat_us.end());
+      row.push_back(TablePrinter::Fmt(lat_us[lat_us.size() / 2], 1));
+      row.push_back(TablePrinter::Fmt(
+          bytes_read / 1024.0 / static_cast<double>(lat_us.size()), 1));
+    }
+    db::ColumnStore::Drop(prefix);
+    t.AddRow(row);
+  }
+  t.Print();
+  std::printf("_us cells are p50 wall latency; _kb cells are mean KiB read "
+              "from disk per query (header + touched pages).\n");
+}
 
 int Main() {
   Banner("Table 11 - read and query time", "paper §6.2.2 Obs. 9");
@@ -86,6 +166,8 @@ int Main() {
               "DT and CR; dictionary/transform methods (bitshuffle) decode "
               "fastest among CPU methods; end-to-end time, not kernel "
               "time, decides the ranking (Obs. 9).\n");
+
+  PushdownTable(tmpdir);
   return 0;
 }
 

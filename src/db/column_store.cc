@@ -87,6 +87,16 @@ Result<Manifest> ReadManifest(const std::string& prefix) {
   return m;
 }
 
+/// Adds one column read to the caller's totals. bytes_decoded counts the
+/// whole touched pages; bytes_on_disk the bytes actually read.
+void AddTiming(const PagedFile::ReadTiming& t, ColumnStore::ReadStats* stats) {
+  if (stats == nullptr) return;
+  stats->io_seconds += t.io_seconds;
+  stats->decode_seconds += t.decode_seconds;
+  stats->bytes_on_disk += t.bytes_read;
+  stats->bytes_decoded += t.decoded_bytes;
+}
+
 }  // namespace
 
 Status ColumnStore::Write(const std::string& prefix,
@@ -223,18 +233,14 @@ Result<DataFrame> ColumnStore::Read(const std::string& prefix,
   std::vector<std::string> out_names;
   std::vector<std::vector<double>> out_cols;
   for (size_t idx : wanted) {
-    const std::string path = ColumnPath(prefix, idx);
     PagedFile::ReadTiming timing;
-    FCB_ASSIGN_OR_RETURN(Buffer bytes, PagedFile::Read(path, &timing));
-    FCB_ASSIGN_OR_RETURN(DataDesc desc, PagedFile::ReadDesc(path));
-    if (stats != nullptr) {
-      stats->io_seconds += timing.io_seconds;
-      stats->decode_seconds += timing.decode_seconds;
-      stats->bytes_decoded += bytes.size();
-      auto fs = PagedFile::FileSize(path);
-      if (fs.ok()) stats->bytes_on_disk += fs.value();
-    }
+    FCB_ASSIGN_OR_RETURN(PagedFile::Reader reader,
+                         PagedFile::Reader::Open(ColumnPath(prefix, idx),
+                                                 &timing));
+    FCB_ASSIGN_OR_RETURN(Buffer bytes, reader.Read(&timing));
+    AddTiming(timing, stats);
 
+    const DataDesc& desc = reader.desc();
     const size_t rows = bytes.size() / DTypeSize(desc.dtype);
     std::vector<double> col(rows);
     if (desc.dtype == DType::kFloat32) {
@@ -267,21 +273,19 @@ Result<std::vector<double>> ColumnStore::ReadRows(const std::string& prefix,
                                    "'");
   }
 
-  const std::string path = ColumnPath(prefix, idx);
-  FCB_ASSIGN_OR_RETURN(DataDesc desc, PagedFile::ReadDesc(path));
-  const size_t esize = DTypeSize(desc.dtype);
   PagedFile::ReadTiming timing;
   FCB_ASSIGN_OR_RETURN(
-      Buffer bytes,
-      PagedFile::ReadByteRange(path, row_begin * esize, row_count * esize,
-                               &timing));
-  if (stats != nullptr) {
-    stats->io_seconds += timing.io_seconds;
-    stats->decode_seconds += timing.decode_seconds;
-    stats->bytes_decoded += timing.decoded_bytes;  // whole touched pages
-    auto fs = PagedFile::FileSize(path);
-    if (fs.ok()) stats->bytes_on_disk += fs.value();
+      PagedFile::Reader reader,
+      PagedFile::Reader::Open(ColumnPath(prefix, idx), &timing));
+  const DataDesc& desc = reader.desc();
+  const size_t esize = DTypeSize(desc.dtype);
+  if (row_begin > UINT64_MAX / esize || row_count > UINT64_MAX / esize) {
+    return Status::OutOfRange("column_store: row range past end of column");
   }
+  FCB_ASSIGN_OR_RETURN(Buffer bytes,
+                       reader.ReadByteRange(row_begin * esize,
+                                            row_count * esize, &timing));
+  AddTiming(timing, stats);
 
   std::vector<double> out(row_count);
   if (desc.dtype == DType::kFloat32) {
@@ -323,12 +327,17 @@ Status ColumnStore::Verify(const std::string& prefix) {
 }
 
 Status ColumnStore::Drop(const std::string& prefix) {
+  // Every column the manifest names, then any further column files: an
+  // unreadable manifest (corrupt, or lost in a crashed Write) still
+  // leaves column files 0, 1, ... on disk.
   auto m = ReadManifest(prefix);
-  if (m.ok()) {
-    for (size_t i = 0; i < m.value().names.size(); ++i) {
-      fs::RemoveFile(ColumnPath(prefix, i));
-      fs::RemoveFile(ColumnPath(prefix, i) + fs::kTempSuffix);
-    }
+  const size_t listed = m.ok() ? m.value().names.size() : 0;
+  for (size_t i = 0;; ++i) {
+    const std::string col = ColumnPath(prefix, i);
+    const std::string tmp = col + fs::kTempSuffix;
+    if (i >= listed && !fs::FileExists(col) && !fs::FileExists(tmp)) break;
+    fs::RemoveFile(col);
+    fs::RemoveFile(tmp);
   }
   fs::RemoveFile(ManifestPath(prefix) + fs::kTempSuffix);
   return fs::RemoveFile(ManifestPath(prefix));

@@ -43,7 +43,11 @@ class ColumnStore {
   struct ReadStats {
     double io_seconds = 0;
     double decode_seconds = 0;
+    /// Bytes read from disk by this call: each touched column file's
+    /// header and directory plus the page bytes it decoded (the whole
+    /// file for Read, the overlapping pages for ReadRows).
     uint64_t bytes_on_disk = 0;
+    /// Raw bytes decompressed, counting whole touched pages.
     uint64_t bytes_decoded = 0;
   };
 
@@ -72,10 +76,11 @@ class ColumnStore {
                                 const std::vector<std::string>& names = {},
                                 ReadStats* stats = nullptr);
 
-  /// Reads rows [row_begin, row_begin + row_count) of one column,
-  /// decoding only the pages that overlap the range (chunk-granular
-  /// pushdown for point/range queries; the rest of the column is never
-  /// decompressed).
+  /// Reads rows [row_begin, row_begin + row_count) of one column. The
+  /// column file is opened once: its header and directory are read, then
+  /// one positional read fetches the pages that overlap the range, and
+  /// only those are decoded (chunk-granular pushdown for point/range
+  /// queries: the cost is O(touched pages), not O(column)).
   static Result<std::vector<double>> ReadRows(const std::string& prefix,
                                               const std::string& column,
                                               uint64_t row_begin,

@@ -2,10 +2,12 @@
 #define FCBENCH_DB_PAGED_FILE_H_
 
 #include <string>
+#include <vector>
 
 #include "core/compressor.h"
 #include "core/format.h"
 #include "util/buffer.h"
+#include "util/fs.h"
 #include "util/status.h"
 
 namespace fcbench::db {
@@ -33,7 +35,8 @@ class PagedFile {
   };
 
   /// Timing breakdown of a read, matching the paper's file I/O vs. data
-  /// decoding split (§6.2.2).
+  /// decoding split (§6.2.2). Reader calls add to it; the static reads
+  /// reset it first.
   struct ReadTiming {
     double io_seconds = 0;
     double decode_seconds = 0;
@@ -41,6 +44,9 @@ class PagedFile {
     /// whole touched pages, not just the returned slice — the honest
     /// decode cost of a pushdown read.
     uint64_t decoded_bytes = 0;
+    /// Bytes actually read from the file: the header reads plus the
+    /// page bytes of the touched pages.
+    uint64_t bytes_read = 0;
   };
 
   /// Identity of the container as written — filled by Write so callers
@@ -60,20 +66,54 @@ class PagedFile {
                       const DataDesc& desc, const Options& options,
                       WriteInfo* info = nullptr);
 
+  /// An open container. Open reads a bounded prefix of the file that
+  /// holds every header field before the page directory, then exactly
+  /// the directory's bounded extent, and validates both against the
+  /// file size; the reads after it pread only the pages they decode.
+  /// Every static read below is Open plus one of these calls.
+  class Reader {
+   public:
+    static Result<Reader> Open(const std::string& path,
+                               ReadTiming* timing = nullptr);
+
+    const DataDesc& desc() const { return desc_; }
+
+    /// Reads and decodes every page; returns the raw element bytes.
+    Result<Buffer> Read(ReadTiming* timing = nullptr);
+
+    /// Reads raw bytes [offset, offset + length) of the stored array:
+    /// one pread of the overlapping pages, and only those are decoded.
+    Result<Buffer> ReadByteRange(uint64_t offset, uint64_t length,
+                                 ReadTiming* timing = nullptr);
+
+   private:
+    /// Reads `n` bytes at `offset`, charging the I/O to `timing`.
+    Result<Buffer> ReadAt(uint64_t offset, size_t n, ReadTiming* timing);
+    /// Reads pages [first, last] and appends their decoded bytes.
+    Status DecodePages(size_t first, size_t last, Buffer* out,
+                       ReadTiming* timing);
+
+    fs::ReadOnlyFile file_;
+    std::string compressor_;
+    uint64_t page_ = 0;
+    DataDesc desc_;
+    std::vector<uint64_t> page_sizes_;
+    uint64_t payload_offset_ = 0;
+  };
+
   /// Reads the container back: file I/O and per-page decompression are
   /// timed separately. Returns the raw little-endian element bytes.
   static Result<Buffer> Read(const std::string& path, ReadTiming* timing);
 
   /// Reads raw bytes [offset, offset + length) of the stored array,
-  /// decoding only the pages that overlap the range (chunk-granular
-  /// pushdown: a point or range query touches one page, not the column).
-  /// The file is still read whole — the saving is decode work, which
-  /// dominates for compressed columns (§6.2.2).
+  /// reading and decoding only the pages that overlap the range
+  /// (chunk-granular pushdown: a point or range query touches the header
+  /// and one page, not the column).
   static Result<Buffer> ReadByteRange(const std::string& path,
                                       uint64_t offset, uint64_t length,
                                       ReadTiming* timing = nullptr);
 
-  /// Reads only the stored metadata (no page decode).
+  /// Reads only the stored metadata (header and directory, no pages).
   static Result<DataDesc> ReadDesc(const std::string& path);
 
   /// Total on-disk size of the container, or error.

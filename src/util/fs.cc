@@ -86,31 +86,56 @@ Result<uint64_t> FileSize(const std::string& path) {
 }
 
 Result<Buffer> ReadFile(const std::string& path) {
+  FCB_ASSIGN_OR_RETURN(ReadOnlyFile f, ReadOnlyFile::Open(path));
+  return f.ReadAt(0, static_cast<size_t>(f.size()));
+}
+
+ReadOnlyFile& ReadOnlyFile::operator=(ReadOnlyFile&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = other.fd_;
+    size_ = other.size_;
+    path_ = std::move(other.path_);
+    other.fd_ = -1;
+    other.size_ = 0;
+  }
+  return *this;
+}
+
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Result<ReadOnlyFile> ReadOnlyFile::Open(const std::string& path) {
   FCB_FAIL_RETURN("fs.read", path);
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return ErrnoStatus("cannot open", path, errno);
+  ReadOnlyFile f;
+  f.path_ = path;
+  f.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (f.fd_ < 0) return ErrnoStatus("cannot open", path, errno);
   struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    Status s = ErrnoStatus("cannot stat", path, errno);
-    ::close(fd);
-    return s;
+  if (::fstat(f.fd_, &st) != 0) {
+    return ErrnoStatus("cannot stat", path, errno);
   }
-  Buffer buf(static_cast<size_t>(st.st_size));
+  f.size_ = static_cast<uint64_t>(st.st_size);
+  return f;
+}
+
+Result<Buffer> ReadOnlyFile::ReadAt(uint64_t offset, size_t n) const {
+  if (fd_ < 0) return Status::Internal("read of closed file " + path_);
+  Buffer buf(n);
   size_t got = 0;
-  int read_errno = 0;
-  while (got < buf.size()) {
-    ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) read_errno = errno;
-    if (n <= 0) break;
-    got += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  if (got != buf.size()) {
-    if (read_errno != 0) return ErrnoStatus("cannot read", path, read_errno);
-    return Status::IoError("short read " + path + ": got " +
-                           std::to_string(got) + " of " +
-                           std::to_string(buf.size()) + " bytes");
+  while (got < n) {
+    ssize_t r = ::pread(fd_, buf.data() + got, n - got,
+                        static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) return ErrnoStatus("cannot read", path_, errno);
+    if (r == 0) {
+      return Status::IoError("short read " + path_ + ": got " +
+                             std::to_string(got) + " of " +
+                             std::to_string(n) + " bytes at offset " +
+                             std::to_string(offset));
+    }
+    got += static_cast<size_t>(r);
   }
   return buf;
 }

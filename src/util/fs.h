@@ -35,8 +35,41 @@ std::string JoinPath(const std::string& dir, const std::string& name);
 bool FileExists(const std::string& path);
 Result<uint64_t> FileSize(const std::string& path);
 
-/// Reads the whole file into a Buffer.
+/// Reads the whole file into a Buffer (ReadOnlyFile::Open + one ReadAt).
 Result<Buffer> ReadFile(const std::string& path);
+
+/// Read-only file handle for positional partial reads: a reader that
+/// needs a header and a few pages of a large file reads just those
+/// bytes. The size is captured by fstat(2) at Open.
+///
+/// Errors name the path and carry the errno text, as for AppendFile. A
+/// read that cannot deliver every requested byte — past the end of file,
+/// or the file shrank under the reader — is an IoError, never a partial
+/// buffer.
+class ReadOnlyFile {
+ public:
+  ReadOnlyFile() = default;
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+  ReadOnlyFile(ReadOnlyFile&& other) noexcept { *this = std::move(other); }
+  ReadOnlyFile& operator=(ReadOnlyFile&& other) noexcept;
+  ~ReadOnlyFile();
+
+  /// Opens `path` and records its size. Evaluates failpoint `fs.read`.
+  static Result<ReadOnlyFile> Open(const std::string& path);
+
+  /// Reads exactly `n` bytes at `offset` with pread(2).
+  Result<Buffer> ReadAt(uint64_t offset, size_t n) const;
+
+  /// File size at Open.
+  uint64_t size() const { return size_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  int fd_ = -1;
+  uint64_t size_ = 0;
+  std::string path_;  // for error messages
+};
 
 /// Removes `path`; OK when the file does not exist (idempotent cleanup).
 Status RemoveFile(const std::string& path);

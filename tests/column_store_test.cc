@@ -10,11 +10,39 @@
 
 #include "db/column_store.h"
 #include "db/query.h"
+#include "util/bitio.h"
 #include "util/fs.h"
 #include "util/rng.h"
 
 namespace fcbench::db {
 namespace {
+
+/// The page directory of a PagedFile container, parsed from its bytes
+/// (magic, compressor name, page size, dtype, digits, extent, npages,
+/// then one varint per page).
+struct PageDirectory {
+  size_t payload_offset = 0;
+  std::vector<uint64_t> page_sizes;
+};
+
+PageDirectory ParsePageDirectory(ByteSpan file) {
+  PageDirectory d;
+  size_t off = 4;  // magic
+  uint64_t v = 0;
+  GetVarint64(file, &off, &v);  // compressor name length
+  off += v;
+  GetVarint64(file, &off, &v);  // page size
+  off += 2;                     // dtype, precision digits
+  uint64_t rank = 0;
+  GetVarint64(file, &off, &rank);
+  for (uint64_t i = 0; i < rank; ++i) GetVarint64(file, &off, &v);
+  uint64_t npages = 0;
+  GetVarint64(file, &off, &npages);
+  d.page_sizes.resize(npages);
+  for (auto& s : d.page_sizes) GetVarint64(file, &off, &s);
+  d.payload_offset = off;
+  return d;
+}
 
 class ColumnStoreTest : public ::testing::Test {
  protected:
@@ -183,6 +211,19 @@ TEST_F(ColumnStoreTest, ReadRowsPushdownDecodesOnlyTouchedPages) {
   ASSERT_TRUE(one.ok());
   EXPECT_GE(stats.bytes_decoded, 4096u);
   EXPECT_LE(stats.bytes_decoded, 2 * 4096u);
+
+  // It also reads only the header and the touched page from disk:
+  // O(touched pages), not O(column).
+  const std::string col = prefix_ + ".0.col";
+  auto file = fs::ReadFile(col);
+  ASSERT_TRUE(file.ok());
+  const PageDirectory dir = ParsePageDirectory(file.value().span());
+  ASSERT_EQ(dir.page_sizes.size(), 10u);  // ceil(5000 / 512)
+  const size_t touched = 1234 / 512;
+  EXPECT_LE(stats.bytes_on_disk,
+            dir.payload_offset + dir.page_sizes[touched] +
+                dir.page_sizes[touched + 1]);
+  EXPECT_LT(stats.bytes_on_disk, file.value().size() / 4);
 }
 
 TEST_F(ColumnStoreTest, ReadRowsRejectsBadRequests) {
@@ -191,6 +232,10 @@ TEST_F(ColumnStoreTest, ReadRowsRejectsBadRequests) {
   EXPECT_FALSE(ColumnStore::ReadRows(prefix_, "no_such", 0, 1).ok());
   EXPECT_FALSE(ColumnStore::ReadRows(prefix_, "temperature", 95, 10).ok());
   EXPECT_FALSE(ColumnStore::ReadRows(prefix_, "temperature", 101, 1).ok());
+  // Row offsets whose byte offset wraps u64 must not alias low rows.
+  EXPECT_FALSE(ColumnStore::ReadRows(prefix_, "temperature",
+                                     (uint64_t{1} << 61) + 1, 1)
+                   .ok());
 }
 
 TEST_F(ColumnStoreTest, RaggedColumnsRejected) {
@@ -214,6 +259,32 @@ TEST_F(ColumnStoreTest, CorruptManifestDetected) {
   auto df = ColumnStore::Read(prefix_);
   EXPECT_FALSE(df.ok());
   EXPECT_EQ(df.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(ColumnStoreTest, DropRemovesFilesBehindCorruptManifest) {
+  auto cols = MakeTable(100);
+  ASSERT_TRUE(ColumnStore::Write(prefix_, cols).ok());
+  // A stale temp file of the last column, as a crashed rewrite leaves.
+  ASSERT_TRUE(fs::WriteFileAtomic(prefix_ + ".2.col.tmp",
+                                  ByteSpan(), /*durable=*/false)
+                  .ok());
+  const std::string manifest = prefix_ + ".manifest";
+  auto raw = fs::ReadFile(manifest);
+  ASSERT_TRUE(raw.ok());
+  raw.value().data()[6] ^= 0x20;
+  ASSERT_TRUE(fs::WriteFileAtomic(manifest, raw.value().span(),
+                                  /*durable=*/false)
+                  .ok());
+  ASSERT_FALSE(ColumnStore::ListColumns(prefix_).ok());
+
+  ASSERT_TRUE(ColumnStore::Drop(prefix_).ok());
+  const std::string base =
+      prefix_.substr(prefix_.find_last_of('/') + 1) + ".";
+  auto names = fs::ListDir(fs::DirOf(prefix_));
+  ASSERT_TRUE(names.ok());
+  for (const auto& n : names.value()) {
+    EXPECT_NE(n.compare(0, base.size(), base), 0) << n << " survived Drop";
+  }
 }
 
 TEST_F(ColumnStoreTest, MissingStoreReportsIoError) {

@@ -16,6 +16,7 @@
 
 #include "core/chunked.h"
 #include "core/compressor.h"
+#include "db/column_store.h"
 #include "db/paged_file.h"
 #include "test_names.h"
 #include "util/bitio.h"
@@ -327,12 +328,19 @@ class PagedFileHostileHeader : public ::testing::Test {
   }
   void TearDown() override { fs::RemoveFile(path_); }
 
+  /// Every read entry point must reject the file as Corruption.
   void ExpectRejected(const Buffer& bytes, const char* what) {
     ASSERT_TRUE(
         fs::WriteFileAtomic(path_, bytes.span(), /*durable=*/false).ok());
     auto r = db::PagedFile::Read(path_, nullptr);
     ASSERT_FALSE(r.ok()) << what;
     EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << what;
+    auto d = db::PagedFile::ReadDesc(path_);
+    ASSERT_FALSE(d.ok()) << what << " (ReadDesc)";
+    EXPECT_EQ(d.status().code(), StatusCode::kCorruption) << what;
+    auto b = db::PagedFile::ReadByteRange(path_, 0, 8);
+    ASSERT_FALSE(b.ok()) << what << " (ReadByteRange)";
+    EXPECT_EQ(b.status().code(), StatusCode::kCorruption) << what;
   }
 
   /// Valid header prefix: magic | compressor "none" | page | dtype f64 |
@@ -410,6 +418,135 @@ TEST_F(PagedFileHostileHeader, TruncatedPages) {
   PutVarint64(&b, 32);
   b.Append(std::vector<uint8_t>(5, 0xab).data(), 5);  // ...file has 5
   ExpectRejected(b, "truncated pages");
+}
+
+TEST_F(PagedFileHostileHeader, PageCountBeyondFileRejected) {
+  // 2^43 one-byte pages: a consistent page count, but far more directory
+  // entries than the file has bytes. It must be rejected before the
+  // directory is read or allocated.
+  Buffer b = Prefix(1);
+  PutVarint64(&b, 1);
+  PutVarint64(&b, uint64_t{1} << 40);  // 2^43 bytes of f64
+  PutVarint64(&b, uint64_t{1} << 43);
+  PutVarint64(&b, 1);
+  ExpectRejected(b, "page count beyond file size");
+}
+
+TEST_F(PagedFileHostileHeader, ClaimedSizeBeyondStoredBytesRejected) {
+  // A self-consistent header (2^15 pages of 2 GiB, 2^46 bytes in all)
+  // whose pages are empty: the whole file is 33 KB. Reading it must fail
+  // as Corruption, not abort trying to reserve the claimed 64 TiB.
+  for (const char* name : {"none", "gorilla"}) {
+    SCOPED_TRACE(name);
+    Buffer b;
+    PutFixed(&b, uint32_t{0x46434246});
+    PutVarint64(&b, std::strlen(name));
+    b.Append(name, std::strlen(name));
+    PutVarint64(&b, uint64_t{1} << 31);
+    b.PushBack(1);
+    b.PushBack(0);
+    PutVarint64(&b, 1);
+    PutVarint64(&b, uint64_t{1} << 43);
+    PutVarint64(&b, uint64_t{1} << 15);
+    for (int p = 0; p < (1 << 15); ++p) PutVarint64(&b, 0);
+    ASSERT_TRUE(
+        fs::WriteFileAtomic(path_, b.span(), /*durable=*/false).ok());
+    auto r = db::PagedFile::Read(path_, nullptr);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    auto range = db::PagedFile::ReadByteRange(path_, 0, 8);
+    ASSERT_FALSE(range.ok());
+    EXPECT_EQ(range.status().code(), StatusCode::kCorruption);
+  }
+}
+
+/// Partial reads through ColumnStore::ReadRows: the reader reads the
+/// header, then only the touched pages, so these pin that it still sees
+/// the whole file's shape.
+class ColumnStorePartialRead : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    RegisterAllCompressors();
+    prefix_ = "/tmp/fcbench_cs_partial_" + std::to_string(::getpid()) +
+              "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  }
+  void TearDown() override { db::ColumnStore::Drop(prefix_); }
+
+  static std::vector<double> Values(size_t rows) {
+    Rng rng(5);
+    std::vector<double> v(rows);
+    double x = 10.0;
+    for (auto& e : v) {
+      x += rng.Normal() * 0.1;
+      e = x;
+    }
+    return v;
+  }
+
+  void WriteColumn(const std::vector<double>& values, const char* method,
+                   size_t page_size) {
+    db::ColumnStore::ColumnSpec spec{.name = "x", .compressor = method};
+    spec.values = values;
+    ASSERT_TRUE(db::ColumnStore::Write(prefix_, {spec}, page_size).ok());
+  }
+
+  void ExpectRows(const std::vector<double>& values, uint64_t begin,
+                  uint64_t count) {
+    auto r = db::ColumnStore::ReadRows(prefix_, "x", begin, count);
+    ASSERT_TRUE(r.ok()) << "[" << begin << ", +" << count
+                        << "): " << r.status().ToString();
+    ASSERT_EQ(r.value().size(), count);
+    EXPECT_EQ(0, std::memcmp(r.value().data(), values.data() + begin,
+                             count * sizeof(double)))
+        << "[" << begin << ", +" << count << ")";
+  }
+
+  std::string prefix_;
+};
+
+TEST_F(ColumnStorePartialRead, TruncatedAfterTouchedPageIsCorruption) {
+  // The touched page (row 0) is intact; the file ends early in a later
+  // page. Only the directory sum vs. the file size can see that.
+  const auto values = Values(5000);
+  WriteColumn(values, "gorilla", 4096);
+  const std::string col = prefix_ + ".0.col";
+  auto size = fs::FileSize(col);
+  ASSERT_TRUE(size.ok());
+  ASSERT_EQ(::truncate(col.c_str(), static_cast<off_t>(size.value() - 100)),
+            0);
+  auto r = db::ColumnStore::ReadRows(prefix_, "x", 0, 1);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+      << r.status().ToString();
+}
+
+TEST_F(ColumnStorePartialRead, HeaderLongerThanFirstReadRoundTrips) {
+  // 8-byte pages: one f64 per page, so the 3000-entry directory runs far
+  // past the bounded first header read and needs the second one.
+  const auto values = Values(3000);
+  for (const char* method : {"none", "gorilla"}) {
+    SCOPED_TRACE(method);
+    WriteColumn(values, method, 8);
+    ExpectRows(values, 0, 1);
+    ExpectRows(values, 1234, 1);
+    ExpectRows(values, 2990, 10);
+    ExpectRows(values, 0, 3000);
+  }
+}
+
+TEST_F(ColumnStorePartialRead, LastPartialPageReads) {
+  // 5000 rows in 512-row pages: the last page holds rows 4608..4999.
+  const auto values = Values(5000);
+  for (const char* method : {"none", "bitshuffle_zstd"}) {
+    SCOPED_TRACE(method);
+    WriteColumn(values, method, 4096);
+    ExpectRows(values, 4608, 392);
+    ExpectRows(values, 4600, 400);
+    ExpectRows(values, 4999, 1);
+    auto past = db::ColumnStore::ReadRows(prefix_, "x", 4999, 2);
+    EXPECT_EQ(past.status().code(), StatusCode::kOutOfRange);
+  }
 }
 
 }  // namespace

@@ -264,6 +264,28 @@ TEST_F(FsFaultTest, EnospcSurfacesAsResourceExhausted) {
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
 
+TEST_F(FsFaultTest, ReadFaultDuringReadRowsIsTypedAndTransient) {
+  const std::string prefix = fs::JoinPath(dir_, "t");
+  ColumnStore::ColumnSpec spec{.name = "x", .compressor = "gorilla"};
+  for (int i = 0; i < 2000; ++i) spec.values.push_back(i * 0.5);
+  ASSERT_TRUE(ColumnStore::Write(prefix, {spec}, /*page_size=*/4096).ok());
+
+  // ReadRows opens the manifest (hit 1), then the column file (hit 2).
+  ASSERT_TRUE(fail::FailPoints::Set("fs.read", "err@2").ok());
+  auto bad = ColumnStore::ReadRows(prefix, "x", 700, 10);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
+  EXPECT_NE(bad.status().message().find(prefix + ".0.col"), std::string::npos)
+      << bad.status().ToString();
+  fail::FailPoints::ClearAll();
+
+  auto good = ColumnStore::ReadRows(prefix, "x", 700, 10);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good.value(),
+            std::vector<double>(spec.values.begin() + 700,
+                                spec.values.begin() + 710));
+}
+
 // ---------------------------------------------------------------------------
 // Shared engine workload
 // ---------------------------------------------------------------------------
